@@ -1,14 +1,13 @@
 //! Continuous benchmark gate behind the `perfgate` binary.
 //!
 //! Runs a fixed suite of tier-1 workloads — an MFCP-AD solve, an MFCP-FG
-//! solve, one guarded training round, a thread-pool throughput burst, a
-//! fault-injected replay, the warm-started MFCP-AD solve (`solve_warm`),
-//! a batched relaxed-solve fan-out (`batch_solve`), a head-to-head
+//! solve, one guarded training round, a fault-injected replay, the
+//! warm-started MFCP-AD solve (`solve_warm`), a batched relaxed-solve
+//! fan-out (`batch_solve`), a head-to-head
 //! of the structured vs dense implicit-gradient paths (`kkt_grad`),
 //! an online-serving trace replay with one kill/restore cycle
 //! (`serve_replay`), the blocked-vs-scalar Cholesky kernel comparison
-//! (`chol_blocked`), the sharded-vs-monolithic relaxed solve at
-//! platform scale (`shard_solve`), the live ops surface — endpoint
+//! (`chol_blocked`), the live ops surface — endpoint
 //! latency over every `mfcp_obs::http` route plus a serve-replay
 //! overhead A/B with the ops server on vs off (`obs_http`) — and the
 //! learned-duals head-to-head on unseen instances: predict-seeded vs
@@ -44,16 +43,15 @@ use crate::report::{fault_stage, training_stage, ReportConfig};
 use mfcp_core::train::{train_mfcp, GradientMode, MfcpTrainConfig, TsmTrainConfig};
 use mfcp_linalg::lu::Lu;
 use mfcp_linalg::qr::Qr;
-use mfcp_linalg::{Cholesky, CholeskyBatch, Matrix};
+use mfcp_linalg::{Cholesky, Matrix};
 use mfcp_obs::json::{self, Json};
 use mfcp_optim::kkt::{self, KktWorkspace};
-use mfcp_optim::solver::solve_relaxed;
 use mfcp_optim::zeroth::ZerothOrderOptions;
 use mfcp_optim::{
-    CacheOutcome, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver, ShardedOptions,
-    ShardedSolver, SolverOptions, WarmStartCache,
+    CacheOutcome, LearnedDualHead, MatchingProblem, RelaxationParams, RobustSolver, SolverOptions,
+    WarmStartCache,
 };
-use mfcp_parallel::{ParallelConfig, ThreadPool};
+use mfcp_parallel::ParallelConfig;
 use mfcp_platform::dataset::{NoiseConfig, PlatformDataset};
 use mfcp_platform::embedding::FeatureEmbedder;
 use mfcp_platform::settings::{ClusterPool, Setting};
@@ -65,7 +63,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -262,20 +259,6 @@ fn suite_train_round(cfg: &PerfgateConfig) {
     training_stage(&cfg.report_cfg());
 }
 
-/// Thread-pool throughput: a burst of ~200 trivial jobs through a
-/// 2-worker pool, dominated by enqueue/dispatch cost.
-fn suite_pool_throughput(_cfg: &PerfgateConfig) {
-    let pool = ThreadPool::new(2);
-    let hits = Arc::new(AtomicUsize::new(0));
-    for _ in 0..200 {
-        let hits = Arc::clone(&hits);
-        pool.execute(move || {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let _ = pool.join();
-}
-
 /// Fault-injected replay: outage + stragglers over a discrete matching.
 fn suite_fault_replay(cfg: &PerfgateConfig) {
     fault_stage(&cfg.report_cfg());
@@ -387,9 +370,7 @@ fn suite_serve_replay(cfg: &PerfgateConfig) {
 /// the acceptance scale `N = 2000`; smoke configs ramp linearly so the
 /// cubic kernel stays cheap in debug builds. Per-kernel wall times land
 /// in the `chol.blocked_secs` / `chol.scalar_secs` histograms (ratio of
-/// medians = blocked-kernel speedup), and a [`CholeskyBatch`] pass over
-/// same-shape slices exercises the amortized batch API the MFCP-FG
-/// sample pipelines lean on.
+/// medians = blocked-kernel speedup).
 fn suite_chol_blocked(cfg: &PerfgateConfig) {
     let n = if cfg.tasks >= 12 {
         2000
@@ -399,7 +380,6 @@ fn suite_chol_blocked(cfg: &PerfgateConfig) {
     let a = bench_spd(n, 0);
     let blocked_h = mfcp_obs::histogram("chol.blocked_secs");
     let scalar_h = mfcp_obs::histogram("chol.scalar_secs");
-    let batch_h = mfcp_obs::histogram("chol.batch_secs");
     let mut blocked = Cholesky::empty();
     // Size the factor storage outside the timed reps: the gate measures
     // the steady-state refactor-reuse regime.
@@ -439,14 +419,6 @@ fn suite_chol_blocked(cfg: &PerfgateConfig) {
     let scalar_arm_secs = t0.elapsed().as_secs_f64();
     mfcp_linalg::simd::force_scalar(false);
     mfcp_obs::gauge("chol.simd_speedup").set(scalar_arm_secs / blocked_best.max(1e-12));
-    // Batched same-shape refactors: one blocking plan across S slots.
-    let nb = (n / 8).max(8);
-    let mats: Vec<Matrix> = (0..4).map(|k| bench_spd(nb, k + 1)).collect();
-    let mut batch = CholeskyBatch::new();
-    let t0 = Instant::now();
-    let results = batch.refactor_all(&mats, &ParallelConfig::default());
-    batch_h.record_duration(t0.elapsed());
-    assert!(results.iter().all(|r| r.is_ok()));
 }
 
 /// Deterministic, well-conditioned SPD matrix for the Cholesky suite:
@@ -581,87 +553,6 @@ fn suite_qr_blocked(cfg: &PerfgateConfig) {
         assert!(
             ratio >= 2.0,
             "blocked QR speedup collapsed: {ratio:.2}x at n = {n}"
-        );
-    }
-}
-
-/// Sharded vs monolithic relaxed solve at matched solution quality.
-/// The default config runs the acceptance scale `M = 100`, `N = 5000`;
-/// smoke configs shrink both axes. The sharded solver gets 5 rounds of
-/// 16 inner sweeps (80 column updates, safeguarded by its global line
-/// search so the inner rate can run hot); the monolithic baseline gets
-/// **twice** the sweeps — 160 fixed-step iterations at the solver's
-/// default rate — and still lands at a slightly worse objective, so the
-/// wall-time comparison is at-least-matched quality. Wall times land in
-/// `shard.sharded_secs` / `shard.monolithic_secs`; convergence-level
-/// equivalence (1e-6) is pinned by the optim crate's
-/// `sharded_differential` suite.
-fn suite_shard_solve(cfg: &PerfgateConfig) {
-    let full_scale = cfg.tasks >= 12;
-    let (m, n, rounds, inner, mono_iters) = if full_scale {
-        (100, 5000, 5, 16, 160)
-    } else {
-        (8, (cfg.tasks * 25).max(16), 3, 8, 48)
-    };
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(29));
-    let times = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.5..3.0));
-    let rel = Matrix::from_fn(m, n, |_, _| rng.gen_range(0.8..0.999));
-    let problem = MatchingProblem::new(times, rel, 0.5);
-    let params = RelaxationParams::default();
-    let sharded_h = mfcp_obs::histogram("shard.sharded_secs");
-    let mono_h = mfcp_obs::histogram("shard.monolithic_secs");
-    let solver = ShardedSolver::new(
-        ShardedOptions {
-            shards: 4,
-            max_rounds: rounds,
-            inner_iters: inner,
-            lr: 1.5,
-            tol: 0.0,
-            ..Default::default()
-        },
-        4,
-    );
-    let t0 = Instant::now();
-    let sharded = solver.solve(&problem, &params);
-    let sharded_secs = t0.elapsed().as_secs_f64();
-    sharded_h.record(sharded_secs);
-    let mono_opts = SolverOptions {
-        max_iters: mono_iters,
-        tol: 0.0,
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let mono = solve_relaxed(&problem, &params, &mono_opts);
-    let mono_secs = t0.elapsed().as_secs_f64();
-    mono_h.record(mono_secs);
-    let initial =
-        mfcp_optim::objective::value(&problem, &params, &mfcp_optim::solver::uniform_init(m, n));
-    assert!(
-        sharded.objective.is_finite() && sharded.objective < initial,
-        "sharded solve must descend: {} vs initial {initial}",
-        sharded.objective
-    );
-    assert!(
-        mono.objective.is_finite() && mono.objective < initial,
-        "monolithic solve must descend: {} vs initial {initial}",
-        mono.objective
-    );
-    if full_scale {
-        // Both halves of the headline claim, as tripwires: sharded must
-        // not be worse than the double-budget monolithic solve (both
-        // trajectories are deterministic, so the 1e-3 slack only covers
-        // cross-platform libm ulps), and must get there faster even
-        // without real parallelism (~1.8x measured on a single-core
-        // host; multi-core hosts only widen it).
-        assert!(
-            sharded.objective <= mono.objective + 1e-3,
-            "sharded quality regressed: {} vs monolithic {}",
-            sharded.objective,
-            mono.objective
-        );
-        assert!(
-            sharded_secs < mono_secs,
-            "sharded solve slower than monolithic: {sharded_secs:.3}s vs {mono_secs:.3}s"
         );
     }
 }
@@ -936,16 +827,15 @@ type SuiteFn = fn(&PerfgateConfig);
 
 /// Suite table: `(name, inner_reps, workload)`. `inner_reps` is the
 /// batched-repetition count: each timed run executes the workload that
-/// many times and divides the elapsed wall by it, so sub-millisecond
-/// suites (`pool_throughput`, `fault_replay`) gate on a stable
-/// multi-millisecond measurement window instead of scheduler noise.
-/// Counters in those suites accumulate across the inner reps; the
+/// many times and divides the elapsed wall by it, so a sub-millisecond
+/// suite (`fault_replay`) gates on a stable multi-millisecond
+/// measurement window instead of scheduler noise. Counters in such a
+/// suite accumulate across the inner reps; the
 /// baseline is recorded the same way, so comparisons stay consistent.
-const SUITES: [(&str, usize, SuiteFn); 15] = [
+const SUITES: [(&str, usize, SuiteFn); 13] = [
     ("solve_ad", 1, suite_solve_ad),
     ("solve_fg", 1, suite_solve_fg),
     ("train_round", 1, suite_train_round),
-    ("pool_throughput", 32, suite_pool_throughput),
     ("fault_replay", 16, suite_fault_replay),
     ("solve_warm", 1, suite_solve_warm),
     ("batch_solve", 1, suite_batch_solve),
@@ -954,7 +844,6 @@ const SUITES: [(&str, usize, SuiteFn); 15] = [
     ("chol_blocked", 1, suite_chol_blocked),
     ("lu_blocked", 1, suite_lu_blocked),
     ("qr_blocked", 1, suite_qr_blocked),
-    ("shard_solve", 1, suite_shard_solve),
     ("obs_http", 1, suite_obs_http),
     ("learned_duals", 1, suite_learned_duals),
 ];
@@ -1414,7 +1303,7 @@ mod tests {
         };
         let mut trace = String::new();
         let report = run_perfgate(&cfg, Some(&mut trace));
-        assert_eq!(report.suites.len(), 15);
+        assert_eq!(report.suites.len(), 13);
         for s in &report.suites {
             assert!(s.median_wall_secs.is_finite() && s.median_wall_secs >= 0.0);
             assert!(!s.metrics.is_empty(), "suite {} has no metrics", s.name);

@@ -9,7 +9,6 @@
 //! can vectorize them (same tiling idiom as `matmul_with` in `ops`).
 
 use crate::{simd, LinalgError, Matrix, Result};
-use mfcp_parallel::{par_chunks_mut, ParallelConfig};
 
 /// Default panel width of the blocked kernel. 64 columns of f64 is 512
 /// bytes per row stripe — the same tile footprint `MatmulOptions` uses.
@@ -338,82 +337,6 @@ impl Cholesky {
     }
 }
 
-/// A batch of Cholesky factorizations sharing one blocking plan and
-/// reusing per-factor storage across calls.
-///
-/// The zeroth-order estimator re-solves `S` perturbed instances whose
-/// matrices all have the same shape; factoring them through one batch
-/// amortizes the panel-width setup and keeps every factor's storage warm
-/// between rounds (no reallocation once shapes stabilize). Factors run in
-/// parallel via `mfcp_parallel::par_chunks_mut`; each factorization is
-/// internally sequential, so results are bitwise independent of the
-/// thread count.
-#[derive(Debug, Default)]
-pub struct CholeskyBatch {
-    factors: Vec<Cholesky>,
-    block: usize,
-}
-
-impl CholeskyBatch {
-    /// An empty batch using [`DEFAULT_BLOCK`].
-    pub fn new() -> CholeskyBatch {
-        CholeskyBatch::with_block(DEFAULT_BLOCK)
-    }
-
-    /// An empty batch with an explicit panel width shared by every factor.
-    pub fn with_block(block: usize) -> CholeskyBatch {
-        CholeskyBatch {
-            factors: Vec::new(),
-            block: block.max(1),
-        }
-    }
-
-    /// Re-factors every matrix in `mats`, reusing each slot's storage from
-    /// the previous call. Returns one result per input, in input order; a
-    /// slot whose refactor failed is reset to the empty state (its solves
-    /// error until the next successful refactor).
-    pub fn refactor_all(&mut self, mats: &[Matrix], parallel: &ParallelConfig) -> Vec<Result<()>> {
-        self.factors.truncate(mats.len());
-        self.factors.resize_with(mats.len(), Cholesky::empty);
-        let block = self.block;
-        struct Slot<'a> {
-            factor: &'a mut Cholesky,
-            a: &'a Matrix,
-            out: Result<()>,
-        }
-        let mut slots: Vec<Slot> = self
-            .factors
-            .iter_mut()
-            .zip(mats)
-            .map(|(factor, a)| Slot {
-                factor,
-                a,
-                out: Ok(()),
-            })
-            .collect();
-        par_chunks_mut(parallel, &mut slots, 1, |_, chunk| {
-            let slot = &mut chunk[0];
-            slot.out = slot.factor.refactor_with_block(slot.a, block);
-        });
-        slots.into_iter().map(|s| s.out).collect()
-    }
-
-    /// The factors from the last [`CholeskyBatch::refactor_all`] call.
-    pub fn factors(&self) -> &[Cholesky] {
-        &self.factors
-    }
-
-    /// Number of factors currently held.
-    pub fn len(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// Whether the batch holds no factors.
-    pub fn is_empty(&self) -> bool {
-        self.factors.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,58 +487,6 @@ mod tests {
             let x = f.solve(&b).unwrap();
             assert!(x.iter().all(|v| v.is_finite()));
         }
-    }
-
-    #[test]
-    fn batch_matches_individual_factors() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mats: Vec<Matrix> = [3usize, 17, 9, 1]
-            .iter()
-            .map(|&n| random_spd(&mut rng, n))
-            .collect();
-        let mut batch = CholeskyBatch::new();
-        let results = batch.refactor_all(&mats, &ParallelConfig::with_threads(4));
-        assert_eq!(results.len(), mats.len());
-        for ((res, factor), a) in results.iter().zip(batch.factors()).zip(&mats) {
-            res.as_ref().unwrap();
-            let fresh = Cholesky::factor(a).unwrap();
-            assert_eq!(factor.l().as_slice(), fresh.l().as_slice());
-        }
-        // A second round with same shapes reuses storage and stays correct.
-        let mats2: Vec<Matrix> = [3usize, 17, 9, 1]
-            .iter()
-            .map(|&n| random_spd(&mut rng, n))
-            .collect();
-        for (res, a) in batch
-            .refactor_all(&mats2, &ParallelConfig::sequential())
-            .iter()
-            .zip(&mats2)
-        {
-            res.as_ref().unwrap();
-            let _ = a;
-        }
-    }
-
-    #[test]
-    fn batch_isolates_per_item_failures() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let good = random_spd(&mut rng, 5);
-        let bad = Matrix::from_fn(5, 5, |i, j| if i == j { -2.0 } else { 0.1 });
-        let mut batch = CholeskyBatch::new();
-        let results = batch.refactor_all(
-            &[good.clone(), bad, good.clone()],
-            &ParallelConfig::with_threads(2),
-        );
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-        assert_eq!(batch.factors()[1].dim(), 0);
-        assert_eq!(batch.factors()[0].dim(), 5);
-        assert!(batch.factors()[2]
-            .solve(&[1.0; 5])
-            .unwrap()
-            .iter()
-            .all(|v| v.is_finite()));
     }
 
     proptest::proptest! {

@@ -8,9 +8,7 @@
 //! * [`lu::Lu`] — LU factorization with partial pivoting, the solver behind
 //!   the implicit differentiation of the matching layer (paper Eq. 15).
 //! * [`cholesky::Cholesky`] — cache-blocked right-looking factorization
-//!   for symmetric positive-definite systems, with a batched refactor API
-//!   ([`cholesky::CholeskyBatch`]) that amortizes one blocking plan across
-//!   many same-shape factorizations.
+//!   for symmetric positive-definite systems.
 //! * [`qr::Qr`] — Householder QR and least-squares solves.
 //! * [`eigen`] — cyclic-Jacobi symmetric eigendecomposition, used for
 //!   conditioning diagnostics of the KKT systems.
@@ -42,7 +40,7 @@ pub mod qr;
 pub mod simd;
 pub mod vector;
 
-pub use cholesky::{Cholesky, CholeskyBatch};
+pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use ops::MatmulOptions;

@@ -516,7 +516,7 @@ mod tests {
         // caught at solve time exactly as with the scalar path.
         let qr = Qr::factor(&a).unwrap();
         assert!(matches!(
-            qr.solve_least_squares(&vec![1.0; 20]),
+            qr.solve_least_squares(&[1.0; 20]),
             Err(LinalgError::Singular { .. })
         ));
     }

@@ -13,8 +13,7 @@
 //! which is what lets the differential suites compare the two dispatch
 //! arms directly.
 //!
-//! Dispatch policy (see DESIGN.md "SIMD kernels and the sharded KKT
-//! path"):
+//! Dispatch policy (see DESIGN.md "SIMD kernels"):
 //!
 //! * the `strict-determinism` feature pins the scalar arm unconditionally,
 //!   so every bitwise differential suite runs on one arithmetic path;

@@ -207,12 +207,19 @@ impl HistogramInner {
 
     /// Records one finite-or-not observation into the active generation,
     /// retrying on the fresh generation if a reset flips mid-record.
+    ///
+    /// The registration (`writers` increment, then `active` re-check) and
+    /// [`HistogramInner::reset`]'s flip (`active` store, then `writers`
+    /// load) are a store-buffering pair, so all four are `SeqCst`: with
+    /// Release/Acquire alone both sides may read the old value (x86
+    /// lets the `active` store drain after the `writers` load), and a
+    /// writer would then record into a shard that reset is zeroing.
     pub(crate) fn record(&self, v: f64) {
         loop {
             let a = self.active.load(Ordering::Acquire) & 1;
             let shard = &self.shards[a];
-            shard.writers.fetch_add(1, Ordering::AcqRel);
-            if self.active.load(Ordering::Acquire) & 1 != a {
+            shard.writers.fetch_add(1, Ordering::SeqCst);
+            if self.active.load(Ordering::SeqCst) & 1 != a {
                 // A reset flipped between the load and the registration;
                 // nothing was written yet, so just move to the new shard.
                 shard.writers.fetch_sub(1, Ordering::AcqRel);
@@ -230,9 +237,10 @@ impl HistogramInner {
     pub(crate) fn reset(&self) {
         let _g = self.reset_lock.lock().unwrap_or_else(|e| e.into_inner());
         let old = self.active.load(Ordering::Acquire) & 1;
-        self.active.store(old ^ 1, Ordering::Release);
+        // SeqCst: see `record` for the store-buffering pair.
+        self.active.store(old ^ 1, Ordering::SeqCst);
         let mut spins = 0u32;
-        while self.shards[old].writers.load(Ordering::Acquire) != 0 {
+        while self.shards[old].writers.load(Ordering::SeqCst) != 0 {
             // A record is a handful of atomic ops; yield only if one is
             // somehow descheduled mid-flight.
             spins += 1;
@@ -435,19 +443,34 @@ mod tests {
 
     /// The shard invariant `Σ buckets == count` (and consistent sum /
     /// min / max) must hold no matter how resets interleave with
-    /// concurrent records — the race the old in-place reset lost.
+    /// concurrent records — the race the old in-place reset lost. Each
+    /// reset runs while the writers are recording; the writers are then
+    /// parked at a barrier between records, so the check is exact rather
+    /// than a skew allowance that a preempted reader could exceed.
     #[test]
     fn concurrent_reset_never_tears() {
+        const WRITERS: usize = 4;
         let _g = crate::test_guard();
         let inner = Arc::new(HistogramInner::new());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
+        let pause = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let barrier = Arc::new(std::sync::Barrier::new(WRITERS + 1));
+        let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let inner = Arc::clone(&inner);
                 let stop = Arc::clone(&stop);
+                let pause = Arc::clone(&pause);
+                let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let mut i = 0u64;
                     while !stop.load(Ordering::Relaxed) {
+                        if pause.load(Ordering::Acquire) {
+                            // Parked between records while the main
+                            // thread checks, then released.
+                            barrier.wait();
+                            barrier.wait();
+                            continue;
+                        }
                         // Values from a fixed small set so expectations
                         // are exact per shard state.
                         inner.record([0.5, 2.0, 30.0][(w + i as usize) % 3]);
@@ -456,27 +479,25 @@ mod tests {
                 })
             })
             .collect();
-        for _ in 0..200 {
+        for round in 0..200 {
             inner.reset();
             std::thread::yield_now();
+            pause.store(true, Ordering::Release);
+            barrier.wait();
+            // Every writer is parked; clear the flag before releasing them.
+            pause.store(false, Ordering::Release);
             let shard = inner.active_shard();
-            // Torn events would break count == Σ buckets permanently;
-            // transient skew is expected while writers are mid-flight,
-            // so only check the one-sided invariant that holds at any
-            // instant: every counted event has its bucket increment
-            // visible no later than... both orders are possible, so the
-            // instantaneous check is |Σ buckets - count| ≤ in-flight.
             let bucket_total: u64 = shard
                 .buckets
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .sum();
             let count = shard.count.load(Ordering::Relaxed);
-            let in_flight = shard.writers.load(Ordering::Acquire) + 4;
-            assert!(
-                bucket_total.abs_diff(count) <= in_flight,
-                "torn mid-run: buckets {bucket_total} vs count {count}"
+            assert_eq!(
+                bucket_total, count,
+                "torn in round {round}: buckets {bucket_total} vs count {count}"
             );
+            barrier.wait();
         }
         stop.store(true, Ordering::Relaxed);
         for w in writers {

@@ -27,11 +27,6 @@
 //! * [`recovery`] — fault-tolerant solving: health-guarded solver runs
 //!   with a fallback ladder (backed-off parameters → Newton → PGD
 //!   variants → greedy rounding) and per-stage diagnostics.
-//! * [`sharded`] — parallel sharded solving of large instances: task
-//!   columns are partitioned across a thread pool and coordinated
-//!   through the shared reliability/capacity coupling by a damped-Jacobi
-//!   scheme with a global line search (see DESIGN.md, "Blocked kernels
-//!   and sharded solves").
 //! * [`cache`] — a fingerprint-keyed warm-start cache: successive solves
 //!   of structurally identical problems seed PGD from the previous
 //!   optimum instead of the uniform simplex point (see DESIGN.md,
@@ -57,7 +52,6 @@ pub mod objective;
 pub mod problem;
 pub mod recovery;
 pub mod rounding;
-pub mod sharded;
 pub mod solver;
 pub mod speedup;
 pub mod zeroth;
@@ -74,6 +68,5 @@ pub use recovery::{
     BackoffSchedule, FallbackStage, HealthPolicy, PredictionOutcome, RobustSolution, RobustSolver,
     SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
-pub use sharded::{ShardedOptions, ShardedSolver};
 pub use solver::{NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions};
 pub use speedup::SpeedupCurve;

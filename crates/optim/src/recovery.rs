@@ -17,11 +17,9 @@
 //!    ([`FallbackStage::BackedOff`]),
 //! 3. damped Newton on the barrier problem, skipped outside the convex
 //!    sequential setting ([`FallbackStage::Newton`]),
-//! 4. mirror-descent PGD with conservative parameters
-//!    ([`FallbackStage::MirrorDescent`]),
-//! 5. Euclidean PGD with conservative parameters
+//! 4. Euclidean PGD with conservative parameters
 //!    ([`FallbackStage::EuclideanPgd`]),
-//! 6. feasible greedy rounding — LPT assignment plus reliability and
+//! 5. feasible greedy rounding — LPT assignment plus reliability and
 //!    capacity repair, which always produces a 0/1 column-stochastic
 //!    matching ([`FallbackStage::GreedyRounding`]).
 //!
@@ -67,8 +65,6 @@ pub enum FallbackStage {
     BackedOff,
     /// Damped Newton on the barrier problem (convex setting only).
     Newton,
-    /// Mirror-descent PGD with conservative parameters.
-    MirrorDescent,
     /// Euclidean-projection PGD with conservative parameters.
     EuclideanPgd,
     /// Greedy LPT rounding plus reliability/capacity repair.
@@ -81,7 +77,6 @@ impl fmt::Display for FallbackStage {
             FallbackStage::Primary => "primary",
             FallbackStage::BackedOff => "backoff",
             FallbackStage::Newton => "newton",
-            FallbackStage::MirrorDescent => "mirror-descent",
             FallbackStage::EuclideanPgd => "euclidean-pgd",
             FallbackStage::GreedyRounding => "greedy-rounding",
         };
@@ -485,14 +480,13 @@ enum SeedKind {
     Predicted,
 }
 
-/// The default rung order: primary, backed-off retries, Newton, mirror
-/// descent, Euclidean PGD, greedy rounding.
+/// The default rung order: primary, backed-off retries, Newton, Euclidean
+/// PGD, greedy rounding.
 pub fn default_ladder() -> Vec<FallbackStage> {
     vec![
         FallbackStage::Primary,
         FallbackStage::BackedOff,
         FallbackStage::Newton,
-        FallbackStage::MirrorDescent,
         FallbackStage::EuclideanPgd,
         FallbackStage::GreedyRounding,
     ]
@@ -847,13 +841,9 @@ impl RobustSolver {
                         ));
                     }
                 }
-                FallbackStage::MirrorDescent | FallbackStage::EuclideanPgd => {
+                FallbackStage::EuclideanPgd => {
                     let mut opts = self.solver_opts;
-                    opts.projection = if stage == FallbackStage::MirrorDescent {
-                        ProjectionKind::MirrorDescent
-                    } else {
-                        ProjectionKind::Euclidean
-                    };
+                    opts.projection = ProjectionKind::Euclidean;
                     let params = self.safe_params();
                     if let Some(sol) = self.try_pgd(
                         problem,
@@ -1126,7 +1116,6 @@ fn stage_trace_name(stage: FallbackStage) -> &'static str {
         FallbackStage::Primary => "robust.primary",
         FallbackStage::BackedOff => "robust.backoff",
         FallbackStage::Newton => "robust.newton",
-        FallbackStage::MirrorDescent => "robust.mirror-descent",
         FallbackStage::EuclideanPgd => "robust.euclidean-pgd",
         FallbackStage::GreedyRounding => "robust.greedy-rounding",
     }
@@ -1396,6 +1385,35 @@ mod tests {
             ..Default::default()
         };
         (problem, params)
+    }
+
+    #[test]
+    fn default_ladder_order_is_pinned() {
+        // The Euclidean rung runs `safe_params()`, the last `BackedOff`
+        // retry's parameters, under a different projection; a mirror-descent
+        // rung there would repeat that retry exactly.
+        let ladder = default_ladder();
+        assert_eq!(
+            ladder,
+            vec![
+                FallbackStage::Primary,
+                FallbackStage::BackedOff,
+                FallbackStage::Newton,
+                FallbackStage::EuclideanPgd,
+                FallbackStage::GreedyRounding,
+            ]
+        );
+        let names: Vec<String> = ladder.iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            names,
+            [
+                "primary",
+                "backoff",
+                "newton",
+                "euclidean-pgd",
+                "greedy-rounding"
+            ]
+        );
     }
 
     #[test]

@@ -16,13 +16,6 @@
 //! analytic KKT gradients to reproduce that trade-off.
 //!
 //! The `solve` closure owns whatever linear algebra each re-solve needs.
-//! When the closure runs a factorization-based solver (e.g. the Newton
-//! path, which Cholesky-factors an `N×N` Schur system per iteration —
-//! see [`crate::kkt`]), the `S` same-shape factorizations across one
-//! sample batch are exactly the workload
-//! [`mfcp_linalg::CholeskyBatch::refactor_all`] amortizes: one factor
-//! slot per sample, a shared blocking plan, and per-slot failure
-//! isolation that matches this module's checked estimator.
 
 use crate::recovery::SolveError;
 use mfcp_linalg::Matrix;

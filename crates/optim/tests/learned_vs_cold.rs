@@ -20,8 +20,8 @@
 //!    plain solve's answer bit for bit — a wrong model costs one rung.
 //!
 //! CI runs this suite both default and under `--features
-//! strict-determinism` (the feature changes no optim code paths; the
-//! job pins the claims with the thread pool out of the picture).
+//! strict-determinism` (the feature changes no optim code paths; it
+//! pins the mfcp-linalg SIMD dispatch to the scalar arm).
 
 use mfcp_linalg::Matrix;
 use mfcp_optim::cache::{CacheOutcome, WarmStartCache};

@@ -366,7 +366,7 @@ fn trained_dual_head_seeds_newcomer_columns() {
     // from repaired predictions (counted per column), and the final
     // matching must stay a valid, finite solution.
     let params = RelaxationParams::default();
-    let solver = RobustSolver::new(params.clone());
+    let solver = RobustSolver::new(params);
     let mut head = LearnedDualHead::new(3, 71);
     let mut rng = StdRng::seed_from_u64(404);
     for k in 0..10u64 {
