@@ -656,7 +656,7 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
         let mut cache = WarmStartCache::new();
         let t0 = Instant::now();
         let pred = solver
-            .solve_with_predictor(&p, &mut cache, Some(&head))
+            .solve_cached(&p, &mut cache, None, Some(&head))
             .expect("predicted solve");
         let secs = t0.elapsed().as_secs_f64();
         pred_secs_h.record(secs);
@@ -679,11 +679,11 @@ fn suite_learned_duals(cfg: &PerfgateConfig) {
         // structural fingerprint (the existing warm-start baseline).
         let mut warm_cache = WarmStartCache::new();
         let _ = solver
-            .solve_with_cache(&sibling(2000 + k), &mut warm_cache)
+            .solve_cached(&sibling(2000 + k), &mut warm_cache, None, None)
             .expect("sibling solve populates the cache");
         let t0 = Instant::now();
         let warm = solver
-            .solve_with_cache(&p, &mut warm_cache)
+            .solve_cached(&p, &mut warm_cache, None, None)
             .expect("warm solve");
         warm_secs_h.record(t0.elapsed().as_secs_f64());
         warm_iters_h.record(iters_of(&warm) as f64);

@@ -6,13 +6,12 @@ use crate::predictor::ClusterPredictor;
 use mfcp_autodiff::Graph;
 use mfcp_linalg::Matrix;
 use mfcp_nn::{Adam, Loss, Optimizer};
-use mfcp_optim::cache::warm_init;
 use mfcp_optim::objective;
 use mfcp_optim::solver::{solve_relaxed, solve_relaxed_from, SolverOptions};
 use mfcp_optim::zeroth::{estimate_gradient, ZerothOrderOptions};
 use mfcp_optim::{
-    kkt, CacheStats, LearnedDualHead, MatchingProblem, RelaxationParams, RelaxedSolution,
-    SpeedupCurve,
+    kkt, CacheStats, LearnedDualHead, MatchingProblem, RelaxationParams, RelaxedSolution, Seed,
+    SeedKind, SpeedupCurve,
 };
 use mfcp_parallel::{par_map, solve_batch, ParallelConfig};
 use mfcp_platform::dataset::PlatformDataset;
@@ -561,9 +560,9 @@ pub struct TaskColumns {
 
 /// What building a warm seed from [`TaskColumns`] found.
 struct SeedOutcome {
-    /// The seed (uniform columns for unseen tasks), or `None` when no
-    /// sampled task had a usable cached column.
-    x0: Option<Matrix>,
+    /// The carried seed (uniform columns for unseen tasks), or `None`
+    /// when no sampled task had a usable cached column.
+    seed: Option<Seed>,
     /// Sampled tasks with a valid cached column.
     hits: u64,
     /// Sampled tasks never seen (or aged out) by this family.
@@ -643,7 +642,10 @@ impl TaskColumns {
             }
         }
         SeedOutcome {
-            x0: (hits > 0 || fallback.is_some()).then_some(x0),
+            seed: (hits > 0 || fallback.is_some()).then_some(Seed {
+                x: x0,
+                kind: SeedKind::Carried,
+            }),
             hits,
             misses,
             stale,
@@ -722,10 +724,8 @@ fn solve_family_warm(
 ) -> (RelaxedSolution, bool) {
     let outcome = family.seed(idx, problem.clusters(), round, fallback);
     record_seed(&outcome, stats);
-    let sol = match &outcome.x0 {
-        Some(x0) => solve_relaxed_from(problem, &cfg.relaxation, &cfg.solver, warm_init(x0)),
-        None => solve_relaxed(problem, &cfg.relaxation, &cfg.solver),
-    };
+    let x0 = Seed::start(outcome.seed.as_ref(), problem.clusters(), problem.tasks());
+    let sol = solve_relaxed_from(problem, &cfg.relaxation, &cfg.solver, x0);
     family.store(idx, &sol.x, round);
     (sol, outcome.stale > 0)
 }
@@ -1069,13 +1069,13 @@ fn train_mfcp_impl(
         // cluster family cannot supply — full-coverage seeds from round
         // one onward.
         let use_cache = cache.is_some();
-        let mut cluster_warm: Vec<Option<Matrix>> = vec![None; m];
+        let mut cluster_warm: Vec<Option<Seed>> = vec![None; m];
         if !spiked {
             if let Some(c) = cache.as_deref_mut() {
                 for (i, slot) in cluster_warm.iter_mut().enumerate() {
                     let outcome = c.clusters[i].seed(&idx, m, round, Some(&sol_true.x));
                     record_seed(&outcome, &mut c.stats);
-                    *slot = outcome.x0;
+                    *slot = outcome.seed;
                     if outcome.stale > 0 {
                         report.recovery.push(RecoveryEvent::StaleWarmStart {
                             round,
@@ -1106,15 +1106,12 @@ fn train_mfcp_impl(
                     let problem_pred = problem_true
                         .with_time_row(i, &t_hat)
                         .with_reliability_row(i, &a_hat);
-                    let sol = match &cluster_warm[i] {
-                        Some(x0) => solve_relaxed_from(
-                            &problem_pred,
-                            &cfg.relaxation,
-                            &cfg.solver,
-                            warm_init(x0),
-                        ),
-                        None => solve_relaxed(&problem_pred, &cfg.relaxation, &cfg.solver),
-                    };
+                    let sol = solve_relaxed_from(
+                        &problem_pred,
+                        &cfg.relaxation,
+                        &cfg.solver,
+                        Seed::start(cluster_warm[i].as_ref(), m, n),
+                    );
                     // Hand the optimum back even when the gradient below
                     // fails — it still seeds next round's solve (store
                     // validates column by column).
@@ -1152,39 +1149,24 @@ fn train_mfcp_impl(
                         }
                         GradientMode::ForwardGradient(zo) => {
                             let mut fg_rng = StdRng::seed_from_u64(fg_seed);
+                            // Perturbed problems sit within O(δ) of the
+                            // unperturbed optimum — share it as a common
+                            // warm start across all S perturbation solves.
+                            let carried = use_cache.then(|| Seed {
+                                x: sol.x.clone(),
+                                kind: SeedKind::Carried,
+                            });
+                            let x0 = Seed::start(carried.as_ref(), m, n);
                             let solve_t = |theta: &[f64]| {
                                 let p = problem_pred.with_time_row(
                                     i,
                                     &theta.iter().map(|&v| v.max(1e-6)).collect::<Vec<_>>(),
                                 );
-                                // Perturbed problems sit within O(δ) of the
-                                // unperturbed optimum — share it as a common
-                                // warm start across all S perturbation solves.
-                                if use_cache {
-                                    solve_relaxed_from(
-                                        &p,
-                                        &cfg.relaxation,
-                                        &cfg.solver,
-                                        warm_init(&sol.x),
-                                    )
-                                    .x
-                                } else {
-                                    solve_relaxed(&p, &cfg.relaxation, &cfg.solver).x
-                                }
+                                solve_relaxed_from(&p, &cfg.relaxation, &cfg.solver, x0.clone()).x
                             };
                             let solve_a = |theta: &[f64]| {
                                 let p = problem_pred.with_reliability_row(i, theta);
-                                if use_cache {
-                                    solve_relaxed_from(
-                                        &p,
-                                        &cfg.relaxation,
-                                        &cfg.solver,
-                                        warm_init(&sol.x),
-                                    )
-                                    .x
-                                } else {
-                                    solve_relaxed(&p, &cfg.relaxation, &cfg.solver).x
-                                }
+                                solve_relaxed_from(&p, &cfg.relaxation, &cfg.solver, x0.clone()).x
                             };
                             // estimate_gradient runs the S perturbation
                             // solves under the caller's `zo.parallel`

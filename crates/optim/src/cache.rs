@@ -11,8 +11,10 @@
 //! [`WarmStartCache`] stores, per problem [`fingerprint`], the last
 //! relaxed assignment, the per-task simplex duals estimated at that
 //! point, and — for the convex KKT path — the symbolic structure of the
-//! factorization ([`KktStructure`]), so [`crate::RobustSolver`] and the
-//! training loop can seed PGD from the previous round's optimum.
+//! factorization ([`KktStructure`]). A hit seeds the primary attempt of
+//! [`crate::RobustSolver::solve_cached`] as a
+//! [`crate::seed::SeedKind::Cached`] seed, blended by
+//! [`crate::seed::Seed::init`].
 //!
 //! Entries are validated on every lookup (shape, finiteness, column
 //! stochasticity, dual finiteness, and a generation-based staleness
@@ -35,18 +37,6 @@ use mfcp_linalg::Matrix;
 /// Column-stochasticity tolerance applied when validating cached
 /// iterates (matches the health tolerance in [`crate::recovery`]).
 const SIMPLEX_TOL: f64 = 1e-6;
-
-/// Interior blend weight used by [`warm_init`].
-///
-/// Kept tiny on purpose: the blend is itself a perturbation the solver
-/// must then contract below its step-change tolerance, so a large blend
-/// caps the warm-start savings no matter how good the seed is (a 1e-3
-/// blend forces ~7 decades of geometric decay at tol 1e-10). 1e-9 is
-/// enough to keep every coordinate strictly positive — multiplicative
-/// mirror-descent updates recover a wrongly-collapsed coordinate from
-/// `1e-9/m` in a few dozen iterations — while a near-exact seed still
-/// stops almost immediately.
-const INTERIOR_BLEND: f64 = 1e-9;
 
 /// Structural fingerprint of a problem instance plus its relaxation
 /// parameters: cluster count, task count, reliability threshold, speedup
@@ -233,7 +223,7 @@ pub enum CacheOutcome {
     Stale,
     /// No usable entry existed, but a [`crate::learned::DualPredictor`]
     /// supplied a repaired seed and the predicted-seed rung converged
-    /// (see [`crate::RobustSolver::solve_with_predictor`]). Ordered
+    /// (see [`crate::RobustSolver::solve_cached`]). Ordered
     /// behind exact hits: a valid cached optimum always beats a model
     /// guess.
     Predicted,
@@ -309,8 +299,8 @@ impl Default for WarmStartConfig {
 /// let solver = mfcp_optim::RobustSolver::new(RelaxationParams::default());
 ///
 /// let mut cache = WarmStartCache::new();
-/// let cold = solver.solve_with_cache(&problem, &mut cache).unwrap();
-/// let warm = solver.solve_with_cache(&problem, &mut cache).unwrap();
+/// let cold = solver.solve_cached(&problem, &mut cache, None, None).unwrap();
+/// let warm = solver.solve_cached(&problem, &mut cache, None, None).unwrap();
 /// assert!((cold.objective - warm.objective).abs() < 1e-8);
 /// assert_eq!(cache.stats().hits, 1);
 /// ```
@@ -519,21 +509,6 @@ pub fn validate_warm(x: &Matrix, m: usize, n: usize) -> bool {
     x.shape() == (m, n)
         && x.as_slice().iter().all(|v| v.is_finite())
         && is_column_stochastic(x, SIMPLEX_TOL)
-}
-
-/// Blends a cached optimum toward the uniform interior point.
-///
-/// Mirror-descent updates are multiplicative, so an exact zero in the
-/// starting point stays zero forever; blending
-/// `(1 − τ)·x + τ·uniform` with `τ =` [`INTERIOR_BLEND`] keeps every
-/// coordinate strictly positive (and the columns exactly stochastic)
-/// while staying within `O(τ)` of the cached optimum.
-pub fn warm_init(x: &Matrix) -> Matrix {
-    let (m, n) = x.shape();
-    let u = 1.0 / m.max(1) as f64;
-    Matrix::from_fn(m, n, |i, j| {
-        (1.0 - INTERIOR_BLEND) * x[(i, j)] + INTERIOR_BLEND * u
-    })
 }
 
 #[cfg(test)]
@@ -822,17 +797,6 @@ mod tests {
         cache.store(11, entry_for(&p, &params));
         assert_eq!(cache.lookup(11, 2, 3).0, CacheOutcome::Hit);
         assert_eq!(cache.stats().evicted, last);
-    }
-
-    #[test]
-    fn warm_init_is_interior_and_close() {
-        let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let w = warm_init(&x);
-        assert!(w.as_slice().iter().all(|&v| v > 0.0));
-        assert!(is_column_stochastic(&w, 1e-12));
-        for (a, b) in x.as_slice().iter().zip(w.as_slice()) {
-            assert!((a - b).abs() < 2e-3);
-        }
     }
 
     #[test]

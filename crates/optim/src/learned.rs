@@ -34,10 +34,15 @@
 //!   ([`LearnedDualHead::observe`]) and served through [`DualPredictor`]
 //!   once enough observations have accumulated.
 //!
+//! * [`predict_repaired`] — predict then repair, the one path both the
+//!   solver ladder and the serve daemon's newcomer columns take.
+//!
 //! Fallback semantics are owned by [`crate::recovery::RobustSolver`]:
-//! exact cache hits beat predictions, predictions beat cold starts, and
-//! a failed predicted rung falls through the existing ladder with a
-//! typed [`crate::recovery::PredictionOutcome`] in the diagnostics.
+//! caller seeds and exact cache hits beat predictions, predictions beat
+//! cold starts, and a failed predicted rung falls through the existing
+//! ladder with a typed [`crate::recovery::PredictionOutcome`] in the
+//! diagnostics. The predicted seed's interior blend lives with the
+//! others in [`crate::seed`].
 
 use std::fmt;
 
@@ -65,35 +70,6 @@ pub const FEASIBLE_TOL: f64 = 1e-12;
 /// Number of per-column feature slots that do not scale with `m` (see
 /// [`features`]).
 pub const GLOBAL_FEATURES: usize = 8;
-
-/// Interior blend for predicted seeds (see [`predicted_init`]).
-///
-/// Much larger than the cache's `1e-9` blend, deliberately. A cached
-/// warm start is a true optimum of a sibling instance: its small
-/// coordinates are small in the *right* places, so the blend only needs
-/// to lift exact zeros out of the mirror-descent fixed point. A learned
-/// prediction's small coordinates are wrong at the model's error scale
-/// (~1e-2): the simplex projection routinely lands columns *on the
-/// boundary*, and multiplicative updates grow a coordinate from `1e-9`
-/// about three times slower than from `1e-3` (measured: a predicted
-/// seed 20× closer than uniform converged no faster than cold under the
-/// `1e-9` blend). `1e-3` floors every coordinate at `τ/m` — negligible
-/// perturbation next to the prediction error, decisive for recovery
-/// speed.
-pub const PREDICTED_BLEND: f64 = 1e-3;
-
-/// Interior blend for predicted seeds: `(1 − τ)·x + τ·uniform` with
-/// `τ =` [`PREDICTED_BLEND`], the learned-path analogue of
-/// [`crate::cache::warm_init`]. Keeps every coordinate at least `τ/m`
-/// so mirror descent can cheaply move mass the prediction misplaced,
-/// and keeps columns exactly stochastic.
-pub fn predicted_init(x: &Matrix) -> Matrix {
-    let (m, n) = x.shape();
-    let u = 1.0 / m.max(1) as f64;
-    Matrix::from_fn(m, n, |i, j| {
-        (1.0 - PREDICTED_BLEND) * x[(i, j)] + PREDICTED_BLEND * u
-    })
-}
 
 /// Feature dimension for an `m`-cluster problem: the normalized time
 /// column, the reliability column, and [`GLOBAL_FEATURES`] structural
@@ -312,6 +288,30 @@ pub trait DualPredictor {
         problem: &MatchingProblem,
         params: &RelaxationParams,
     ) -> Option<DualPrediction>;
+}
+
+/// Runs `predictor` on `problem` and feasibility-repairs its output.
+///
+/// `None` when the predictor abstains; otherwise the repaired primal seed,
+/// or the reason [`repair`] rejected the raw prediction. Counts
+/// `optim.learned.predict` plus one of `optim.learned.repaired` /
+/// `optim.learned.rejected`, under the `learned.predict` span.
+pub fn predict_repaired(
+    predictor: &dyn DualPredictor,
+    problem: &MatchingProblem,
+    params: &RelaxationParams,
+) -> Option<Result<Matrix, RepairError>> {
+    let _span = mfcp_obs::span("learned.predict");
+    let raw = predictor.predict_duals(problem, params)?;
+    mfcp_obs::counter("optim.learned.predict").inc();
+    let repaired = repair(&raw, problem.clusters(), problem.tasks()).map(|fixed| fixed.x);
+    mfcp_obs::counter(if repaired.is_ok() {
+        "optim.learned.repaired"
+    } else {
+        "optim.learned.rejected"
+    })
+    .inc();
+    Some(repaired)
 }
 
 /// Default number of observed solves before a [`LearnedDualHead`] starts

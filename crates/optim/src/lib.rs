@@ -36,6 +36,10 @@
 //!   per-column duals and a primal seed, with instance-robust
 //!   feasibility repair before the seed reaches the ladder (see
 //!   DESIGN.md, "Learned duals and instance-robust repair").
+//! * [`seed`] — the one [`Seed`] type every non-uniform start goes
+//!   through: a point plus its [`SeedKind`] (cached, carried or
+//!   predicted), which fixes its interior blend and its failure
+//!   bookkeeping in the ladder.
 //! * [`budget`] — per-request deadlines and cooperative cancellation,
 //!   checked on every guarded iterate so an online daemon can bound the
 //!   latency of a single matching solve.
@@ -52,6 +56,7 @@ pub mod objective;
 pub mod problem;
 pub mod recovery;
 pub mod rounding;
+pub mod seed;
 pub mod solver;
 pub mod speedup;
 pub mod zeroth;
@@ -66,7 +71,8 @@ pub use objective::{BarrierKind, CostKind, RelaxationParams};
 pub use problem::{Assignment, CapacityConstraint, MatchingProblem};
 pub use recovery::{
     BackoffSchedule, FallbackStage, HealthPolicy, PredictionOutcome, RobustSolution, RobustSolver,
-    SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
+    SkipReason, SolveDiagnostics, SolveError, StageAttempt, StageOutcome,
 };
+pub use seed::{Seed, SeedKind};
 pub use solver::{NewtonOptions, PgdWorkspace, ProjectionKind, RelaxedSolution, SolverOptions};
 pub use speedup::SpeedupCurve;

@@ -29,7 +29,7 @@ use mfcp_optim::learned::{DualPrediction, DualPredictor, LearnedDualHead};
 use mfcp_optim::recovery::{PredictionOutcome, RobustSolver, StageOutcome};
 use mfcp_optim::rounding::round_argmax;
 use mfcp_optim::solver::SolverOptions;
-use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams};
+use mfcp_optim::{BarrierKind, MatchingProblem, RelaxationParams, SeedKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -122,13 +122,12 @@ proptest! {
         let mut cache = WarmStartCache::new();
         let prediction = random_prediction(seed, m, n);
         let sol = solver
-            .solve_with_predictor(&problem, &mut cache, Some(&Mock(Some(prediction))))
+            .solve_cached(&problem, &mut cache, None, Some(&Mock(Some(prediction))))
             .expect("predicted solve");
 
         prop_assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Predicted));
         prop_assert_eq!(sol.diagnostics.prediction, Some(PredictionOutcome::Seeded));
-        prop_assert!(sol.diagnostics.attempts[0].predicted);
-        prop_assert!(!sol.diagnostics.attempts[0].warm_start);
+        prop_assert_eq!(sol.diagnostics.attempts[0].seed, Some(SeedKind::Predicted));
         prop_assert!(
             sol.diagnostics.path().starts_with("pred-primary"),
             "path: {}",
@@ -183,7 +182,7 @@ proptest! {
         for (k, poison) in poisons.into_iter().enumerate() {
             let mut cache = WarmStartCache::new();
             let sol = solver
-                .solve_with_predictor(&problem, &mut cache, Some(&Mock(Some(poison))))
+                .solve_cached(&problem, &mut cache, None, Some(&Mock(Some(poison))))
                 .expect("poisoned prediction must not fail the solve");
             prop_assert_eq!(
                 sol.diagnostics.cache,
@@ -200,7 +199,7 @@ proptest! {
                 k,
                 sol.diagnostics.prediction
             );
-            prop_assert!(!sol.diagnostics.attempts[0].predicted);
+            prop_assert_eq!(sol.diagnostics.attempts[0].seed, None);
             prop_assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
             prop_assert_eq!(sol.x.as_slice(), cold.x.as_slice());
         }
@@ -218,18 +217,17 @@ proptest! {
         let solver = tight_solver(test_params());
         let mut cache = WarmStartCache::new();
         let first = solver
-            .solve_with_predictor(&problem, &mut cache, Some(&Mock(None)))
+            .solve_cached(&problem, &mut cache, None, Some(&Mock(None)))
             .expect("miss populates the cache");
         prop_assert_eq!(first.diagnostics.cache, Some(CacheOutcome::Miss));
         prop_assert!(first.diagnostics.prediction.is_none(), "predictor abstained");
 
         let warm = solver
-            .solve_with_predictor(&problem, &mut cache, Some(&PanicPredictor))
+            .solve_cached(&problem, &mut cache, None, Some(&PanicPredictor))
             .expect("hit solves without touching the predictor");
         prop_assert_eq!(warm.diagnostics.cache, Some(CacheOutcome::Hit));
         prop_assert!(warm.diagnostics.prediction.is_none());
-        prop_assert!(warm.diagnostics.attempts[0].warm_start);
-        prop_assert!(!warm.diagnostics.attempts[0].predicted);
+        prop_assert_eq!(warm.diagnostics.attempts[0].seed, Some(SeedKind::Cached));
     }
 }
 
@@ -257,7 +255,7 @@ fn failed_predicted_attempt_falls_through_ladder() {
     };
     let mut cache = WarmStartCache::new();
     let sol = solver
-        .solve_with_predictor(&problem, &mut cache, Some(&Mock(Some(prediction))))
+        .solve_cached(&problem, &mut cache, None, Some(&Mock(Some(prediction))))
         .expect("failed prediction must fall back, not fail");
 
     assert_eq!(
@@ -270,7 +268,12 @@ fn failed_predicted_attempt_falls_through_ladder() {
         "a fallen-back prediction reports the underlying miss"
     );
     let first = &sol.diagnostics.attempts[0];
-    assert!(first.predicted, "path: {}", sol.diagnostics.path());
+    assert_eq!(
+        first.seed,
+        Some(SeedKind::Predicted),
+        "path: {}",
+        sol.diagnostics.path()
+    );
     assert!(
         matches!(first.outcome, StageOutcome::Failed(_)),
         "predicted attempt must be on record as failed"
@@ -312,7 +315,7 @@ fn trained_head_agrees_with_cold_on_unseen_instances() {
         let cold = solver.solve(&unseen).expect("cold solve");
         let mut cache = WarmStartCache::new();
         let sol = solver
-            .solve_with_predictor(&unseen, &mut cache, Some(&head))
+            .solve_cached(&unseen, &mut cache, None, Some(&head))
             .expect("predicted solve");
         assert_eq!(sol.diagnostics.cache, Some(CacheOutcome::Predicted));
         assert!(

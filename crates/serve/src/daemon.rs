@@ -9,12 +9,13 @@
 //! * **Departures** and **cluster outage events** change the structure
 //!   of the matching and trigger an immediate re-solve; arrivals batch
 //!   up to [`DaemonConfig::resolve_batch`] before triggering one.
-//! * **Resolves** run [`RobustSolver::solve_with_cache`], warm-started
-//!   from the previous assignment: surviving tasks keep their columns,
-//!   new tasks start uniform, and the seed is planted in the
-//!   [`WarmStartCache`] under the new problem fingerprint before the
-//!   solve (the fingerprint is structural, so it shifts only when the
-//!   task count changes — exactly when the seed must be re-mapped).
+//! * **Resolves** run [`RobustSolver::solve_cached`] with the previous
+//!   assignment carried onto the current task set as an explicit
+//!   [`SeedKind::Carried`] seed: surviving tasks keep their columns, new
+//!   tasks start uniform (or from a repaired dual-head prediction). The
+//!   seed is a pure function of the problem and the last matching and is
+//!   passed straight to the solver; the [`WarmStartCache`] only ever
+//!   holds optima the ladder actually produced.
 //! * A per-resolve [`Budget`] deadline cooperatively cancels the
 //!   optimizing rungs mid-iteration when the request blows its latency
 //!   budget; the greedy rung still runs, so every resolve produces a
@@ -40,11 +41,12 @@ use std::time::{Duration, Instant};
 
 use mfcp_core::predictor::ClusterPredictor;
 use mfcp_linalg::Matrix;
-use mfcp_optim::cache::{fingerprint, validate_warm};
-use mfcp_optim::learned::repair;
+use mfcp_optim::cache::validate_warm;
+use mfcp_optim::learned::predict_repaired;
 use mfcp_optim::{
     Budget, DualPredictor, FallbackStage, LearnedDualHead, MatchingProblem, RelaxationParams,
-    RobustSolver, SolveError, StageOutcome, WarmStartCache, WarmStartEntry,
+    RobustSolver, Seed, SeedKind, SkipReason, SolveDiagnostics, SolveError, StageOutcome,
+    WarmStartCache,
 };
 use mfcp_platform::prelude::{FeatureEmbedder, PerfModel};
 use mfcp_platform::stream::ExchangeEvent;
@@ -362,8 +364,9 @@ impl ExchangeDaemon {
         }
     }
 
-    /// Drains pending into active and re-solves the matching.
-    fn resolve(&mut self) {
+    /// Drains pending into active and re-solves the matching. Returns the
+    /// solve's diagnostics, or `None` when the active set is empty.
+    fn resolve(&mut self) -> Option<SolveDiagnostics> {
         let backlog = self.state.pending.len();
         let degraded = backlog >= self.config.degrade_watermark;
         while let Some((id, spec)) = self.state.pending.pop_front() {
@@ -371,7 +374,7 @@ impl ExchangeDaemon {
         }
         if self.state.active.is_empty() {
             self.state.last = None;
-            return;
+            return None;
         }
 
         let ids: Vec<u64> = self.state.active.keys().copied().collect();
@@ -386,7 +389,7 @@ impl ExchangeDaemon {
         }
         let problem = MatchingProblem::new(t, a, self.config.gamma);
 
-        self.plant_warm_seed(&problem, &ids);
+        let seed = self.carried_seed(&problem, &ids);
 
         let mut solver = match self.config.deadline {
             Some(limit) => self.solver.with_budget(Budget::with_deadline(limit)),
@@ -400,12 +403,12 @@ impl ExchangeDaemon {
 
         let started = Instant::now();
         mfcp_obs::trace::begin("serve.resolve", Some(self.state.counters.resolves));
-        // With a dual head attached, a resolve that finds no usable
-        // cache entry (first solve, restart with a cold cache) seeds
-        // from predicted duals instead of the uniform simplex point;
-        // exact cache hits still take precedence inside the ladder.
+        // With a dual head attached, a resolve without a carried seed
+        // that finds no usable cache entry (first solve, restart with a
+        // cold cache) seeds from predicted duals instead of the uniform
+        // simplex point.
         let predictor = self.dual_head.as_ref().map(|h| h as &dyn DualPredictor);
-        let result = solver.solve_with_predictor(&problem, &mut self.cache, predictor);
+        let result = solver.solve_cached(&problem, &mut self.cache, seed, predictor);
         mfcp_obs::trace::end("serve.resolve", Some(self.state.counters.resolves));
         let elapsed = started.elapsed();
         self.h_latency.record_duration(elapsed);
@@ -421,9 +424,10 @@ impl ExchangeDaemon {
             Ok(sol) => {
                 let missed = sol.diagnostics.attempts.iter().any(|att| {
                     matches!(
-                        &att.outcome,
+                        att.outcome,
                         StageOutcome::Failed(SolveError::DeadlineExceeded { .. })
-                    ) || matches!(&att.outcome, StageOutcome::Skipped(r) if r.contains("request budget"))
+                            | StageOutcome::Skipped(SkipReason::RequestBudget)
+                    )
                 });
                 if missed {
                     self.state.counters.deadline_miss += 1;
@@ -435,6 +439,7 @@ impl ExchangeDaemon {
                     x: sol.x,
                     objective: sol.objective,
                 });
+                Some(sol.diagnostics)
             }
             Err(e) => {
                 // The greedy rung is infallible, so this is a config
@@ -443,23 +448,22 @@ impl ExchangeDaemon {
                 mfcp_obs::counter("serve.solve_error").inc();
                 mfcp_obs::trace::instant("serve.solve_error", None);
                 debug_assert!(false, "resolve failed: {e}");
+                None
             }
         }
     }
 
-    /// Maps the previous assignment onto the current task set and
-    /// plants it in the cache under the current problem fingerprint, so
-    /// the ladder's cached-warm-start path picks it up. Surviving tasks
-    /// keep their columns; new tasks take predicted-dual columns when a
-    /// dual head is attached (repaired onto the simplex, uniform on
-    /// rejection) and uniform `1/m` otherwise.
-    fn plant_warm_seed(&mut self, problem: &MatchingProblem, ids: &[u64]) {
-        let Some(last) = &self.state.last else {
-            return;
-        };
+    /// The previous assignment carried onto the current task set, as a
+    /// [`SeedKind::Carried`] seed. Surviving tasks keep their columns;
+    /// new tasks take predicted-dual columns when a dual head is attached
+    /// (repaired onto the simplex, uniform on rejection) and uniform
+    /// `1/m` otherwise. `None` before the first matching, after a change
+    /// of cluster pool, or when the spliced point fails validation.
+    fn carried_seed(&self, problem: &MatchingProblem, ids: &[u64]) -> Option<Seed> {
+        let last = self.state.last.as_ref()?;
         let (m, n) = (problem.clusters(), problem.tasks());
         if last.x.rows() != m {
-            return;
+            return None;
         }
         let old_col: BTreeMap<u64, usize> = last
             .ids
@@ -477,22 +481,17 @@ impl ExchangeDaemon {
             mfcp_obs::counter("serve.predicted_seed_cols").add(newcomers as u64);
         }
         let uniform = 1.0 / m as f64;
-        let seed = Matrix::from_fn(m, n, |i, j| match old_col.get(&ids[j]) {
+        let x = Matrix::from_fn(m, n, |i, j| match old_col.get(&ids[j]) {
             Some(&jj) => last.x[(i, jj)],
             None => match &predicted {
                 Some(px) => px[(i, j)],
                 None => uniform,
             },
         });
-        if !validate_warm(&seed, m, n) {
-            return;
-        }
-        let key = fingerprint(problem, &self.solver.params);
-        let objective = last.objective;
-        self.cache.store(
-            key,
-            WarmStartEntry::from_solution(problem, &self.solver.params, &seed, objective),
-        );
+        validate_warm(&x, m, n).then_some(Seed {
+            x,
+            kind: SeedKind::Carried,
+        })
     }
 
     /// A repaired predicted primal for the current problem, used to
@@ -501,9 +500,8 @@ impl ExchangeDaemon {
     /// newcomers then fall back to the uniform seed).
     fn predicted_newcomer_seed(&self, problem: &MatchingProblem) -> Option<Matrix> {
         let head = self.dual_head.as_ref()?;
-        let raw = head.predict_duals(problem, &self.solver.params)?;
-        match repair(&raw, problem.clusters(), problem.tasks()) {
-            Ok(fixed) => Some(fixed.x),
+        match predict_repaired(head, problem, &self.solver.params)? {
+            Ok(x) => Some(x),
             Err(_) => {
                 mfcp_obs::counter("serve.predicted_seed_rejected").inc();
                 None
@@ -568,5 +566,108 @@ impl ExchangeDaemon {
         mfcp_obs::counter("serve.restores").inc();
         mfcp_obs::trace::instant("serve.restore", Some(daemon.state.cursor));
         Ok(daemon)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mfcp_optim::cache::fingerprint;
+    use mfcp_platform::prelude::{ClusterPool, Setting};
+    use mfcp_platform::task::{Corpus, TaskFamily};
+
+    fn daemon(config: DaemonConfig) -> ExchangeDaemon {
+        let source = MatrixSource::GroundTruth(ClusterPool::standard().setting(Setting::A));
+        ExchangeDaemon::new(config, source)
+    }
+
+    fn arrive(daemon: &mut ExchangeDaemon, ids: std::ops::Range<u64>) {
+        for id in ids {
+            daemon.apply(&ExchangeEvent::Arrival {
+                task_id: id,
+                spec: TaskSpec {
+                    family: TaskFamily::Cnn,
+                    corpus: Corpus::Cifar10,
+                    depth: 4 + (id as usize % 8),
+                    width: 64,
+                    batch_size: 128,
+                },
+            });
+        }
+    }
+
+    /// The cache key of an `n`-task resolve: the fingerprint is
+    /// structural, so any problem of the daemon's shape shares it.
+    fn key_for(daemon: &ExchangeDaemon, n: usize) -> u64 {
+        let m = daemon.source.clusters();
+        let shape = MatchingProblem::new(
+            Matrix::zeros(m, n),
+            Matrix::zeros(m, n),
+            daemon.config.gamma,
+        );
+        fingerprint(&shape, &daemon.solver.params)
+    }
+
+    #[test]
+    fn degraded_resolve_caches_nothing() {
+        // A normal 2-task resolve, then a greedy-only 6-task resolve (the
+        // backlog reaches the watermark). Greedy results are never cached,
+        // and the carried seed never enters the cache, so the 6-task
+        // fingerprint must have no entry: nothing in the cache (or in a
+        // snapshot of it) may claim an optimum the ladder never produced.
+        let mut daemon = daemon(DaemonConfig {
+            resolve_batch: 4,
+            degrade_watermark: 4,
+            ..DaemonConfig::default()
+        });
+        arrive(&mut daemon, 0..2);
+        daemon.finish();
+        assert_eq!(daemon.counters().degraded, 0);
+        let solved = key_for(&daemon, 2);
+        assert!(
+            daemon.cache.entry_mut(solved).is_some(),
+            "a real optimum is cached"
+        );
+
+        arrive(&mut daemon, 2..6);
+        assert_eq!(
+            daemon.counters().degraded,
+            1,
+            "the 6-task resolve ran greedy-only"
+        );
+        assert_eq!(daemon.last_solution().map(|l| l.ids.len()), Some(6));
+        let degraded = key_for(&daemon, 6);
+        assert!(
+            daemon.cache.entry_mut(degraded).is_none(),
+            "a degraded resolve must leave no cache entry"
+        );
+        assert_eq!(daemon.cache_stats().entries, 1);
+    }
+
+    #[test]
+    fn resolve_runs_the_carried_seed_first() {
+        let mut daemon = daemon(DaemonConfig {
+            resolve_batch: 1_000,
+            ..DaemonConfig::default()
+        });
+        arrive(&mut daemon, 0..3);
+        let first = daemon.resolve().expect("three active tasks");
+        assert_eq!(
+            first.attempts[0].seed, None,
+            "no previous matching to carry"
+        );
+        assert_eq!(first.cache, Some(mfcp_optim::CacheOutcome::Miss));
+
+        arrive(&mut daemon, 3..5);
+        let second = daemon.resolve().expect("five active tasks");
+        assert_eq!(second.attempts[0].seed, Some(SeedKind::Carried));
+        assert!(
+            second.path().starts_with("carried-primary"),
+            "{}",
+            second.path()
+        );
+        assert_eq!(second.cache, None, "a carried seed skips the cache lookup");
+        let stats = daemon.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.stale), (0, 1, 0));
     }
 }

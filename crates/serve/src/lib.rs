@@ -7,8 +7,9 @@
 //! all of it. This crate is that serving layer, hardened end to end:
 //!
 //! * [`daemon`] — the event loop: admission control with a bounded
-//!   pending queue and load shedding, incremental warm-started
-//!   re-solves through `RobustSolver::solve_with_cache`, per-resolve
+//!   pending queue and load shedding, incremental re-solves through
+//!   `RobustSolver::solve_cached` seeded with the previous matching
+//!   carried onto the current task set (`SeedKind::Carried`), per-resolve
 //!   deadline budgets with cooperative cancellation, and degraded
 //!   greedy-only mode under overload.
 //! * [`state`] — crash-consistent snapshot/restore: the full exchange

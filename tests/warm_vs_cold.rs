@@ -4,7 +4,7 @@
 //! (`SpeedupCurve::None` plus the default entropy weight ρ > 0, so the
 //! relaxed optimum is unique and cold/warm trajectories must meet):
 //!
-//! 1. A warm-started [`RobustSolver::solve_with_cache`] agrees with the
+//! 1. A warm-started [`RobustSolver::solve_cached`] agrees with the
 //!    cold [`RobustSolver::solve`] on the objective within `1e-8` and on
 //!    the argmax-rounded assignment exactly.
 //! 2. The same holds when the cached state is stale or poisoned (NaN
@@ -22,7 +22,7 @@ use mfcp::optim::cache::{fingerprint, CacheOutcome, WarmStartCache};
 use mfcp::optim::recovery::RobustSolver;
 use mfcp::optim::rounding::round_argmax;
 use mfcp::optim::solver::SolverOptions;
-use mfcp::optim::{MatchingProblem, RelaxationParams};
+use mfcp::optim::{MatchingProblem, RelaxationParams, SeedKind};
 use mfcp::parallel::{solve_batch, ParallelConfig};
 use mfcp_linalg::Matrix;
 use proptest::prelude::*;
@@ -113,8 +113,8 @@ proptest! {
         let cold1 = solver.solve(&p1).expect("cold solve");
 
         let mut cache = WarmStartCache::new();
-        let warm0 = solver.solve_with_cache(&p0, &mut cache).expect("miss solve");
-        let warm1 = solver.solve_with_cache(&p1, &mut cache).expect("warm solve");
+        let warm0 = solver.solve_cached(&p0, &mut cache, None, None).expect("miss solve");
+        let warm1 = solver.solve_cached(&p1, &mut cache, None, None).expect("warm solve");
 
         prop_assert!(matches!(warm0.diagnostics.cache, Some(CacheOutcome::Miss)));
         prop_assert!(
@@ -122,7 +122,7 @@ proptest! {
             "drifted re-solve must hit the cache, got {:?}",
             warm1.diagnostics.cache
         );
-        prop_assert!(warm1.diagnostics.attempts[0].warm_start);
+        prop_assert_eq!(warm1.diagnostics.attempts[0].seed, Some(SeedKind::Cached));
 
         for (cold, warm) in [(&cold0, &warm0), (&cold1, &warm1)] {
             prop_assert!(
@@ -149,7 +149,7 @@ proptest! {
         let key = fingerprint(&p0, &solver.params);
 
         let mut cache = WarmStartCache::new();
-        let _ = solver.solve_with_cache(&p0, &mut cache).expect("seed the cache");
+        let _ = solver.solve_cached(&p0, &mut cache, None, None).expect("seed the cache");
 
         for poison in 0..2u8 {
             let entry = cache.entry_mut(key).expect("entry just stored");
@@ -158,14 +158,14 @@ proptest! {
                 _ => entry.x = Matrix::filled(m + 1, n, 1.0 / (m + 1) as f64),
             }
             let stale_before = cache.stats().stale;
-            let sol = solver.solve_with_cache(&p0, &mut cache).expect("poisoned solve");
+            let sol = solver.solve_cached(&p0, &mut cache, None, None).expect("poisoned solve");
             prop_assert!(
                 matches!(sol.diagnostics.cache, Some(CacheOutcome::Stale)),
                 "poison {poison}: expected stale, got {:?}",
                 sol.diagnostics.cache
             );
             prop_assert!(cache.stats().stale > stale_before);
-            prop_assert!(!sol.diagnostics.attempts[0].warm_start);
+            prop_assert_eq!(sol.diagnostics.attempts[0].seed, None);
             prop_assert!((cold.objective - sol.objective).abs() <= 1e-8);
             prop_assert_eq!(
                 round_argmax(&cold.x).cluster_of,
